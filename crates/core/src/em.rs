@@ -145,9 +145,9 @@ fn m_step(observations: &[f64], sm: &Smoothed, config: &EmConfig) -> StateSpaceP
         .collect();
 
     // Initial state.
-    // audit:allow(PANIC02): public entry asserts >= 10 observations
+    // audit:allow(PANIC02): public entry asserts >= MIN_CALIBRATION_SAMPLES observations
     let w0 = delta[0];
-    let p0 = sm.var[0].max(config.variance_floor); // audit:allow(PANIC02): public entry asserts >= 10 observations
+    let p0 = sm.var[0].max(config.variance_floor); // audit:allow(PANIC02): public entry asserts >= MIN_CALIBRATION_SAMPLES observations
 
     // Observation noise.
     let v_u = (observations
@@ -199,20 +199,24 @@ fn m_step(observations: &[f64], sm: &Smoothed, config: &EmConfig) -> StateSpaceP
     }
 }
 
+/// Fewest observations [`calibrate`] accepts: callers holding shorter
+/// traces must skip them rather than calibrate.
+pub const MIN_CALIBRATION_SAMPLES: usize = 10;
+
 /// Calibrate the state-space parameters on a clean trace of measured
 /// relative errors.
 ///
 /// # Panics
-/// Panics if fewer than 10 observations are supplied or any observation
-/// is non-finite.
+/// Panics if fewer than [`MIN_CALIBRATION_SAMPLES`] observations are
+/// supplied or any observation is non-finite.
 pub fn calibrate(
     observations: &[f64],
     initial: StateSpaceParams,
     config: &EmConfig,
 ) -> CalibrationOutcome {
     assert!(
-        observations.len() >= 10,
-        "calibration needs at least 10 observations, got {}",
+        observations.len() >= MIN_CALIBRATION_SAMPLES,
+        "calibration needs at least {MIN_CALIBRATION_SAMPLES} observations, got {}",
         observations.len()
     );
     assert!(

@@ -46,11 +46,9 @@ pub mod wire;
 pub use batch::DetectorBank;
 pub use certify::{Certifier, CertificateError, CoordinateCertificate};
 pub use detector::{Detector, DetectorError, Outlook, Verdict, SAMPLE_STARVATION_LIMIT};
-pub use em::{calibrate, CalibrationOutcome, EmConfig};
+pub use em::{calibrate, CalibrationOutcome, EmConfig, MIN_CALIBRATION_SAMPLES};
 pub use kalman::KalmanFilter;
 pub use model::{ModelError, StateSpaceParams};
-pub use protocol::{
-    vet_sequences, vet_single, ConfigError, SecureNode, SecureStep, SecurityConfig, VetEvent,
-};
+pub use protocol::{vet_sequences, ConfigError, SecureNode, SecureStep, SecurityConfig, VetEvent};
 pub use surveyor::{SurveyorInfo, SurveyorRegistry};
 pub use wire::{Disposition, Message, WireError, MAX_DATAGRAM, WIRE_VERSION};

@@ -361,7 +361,7 @@ impl ColumnScratch {
 /// The decision body deliberately DUPLICATES [`SecureNode::step`] — the
 /// bank owns the detector state mid-sweep, so the scalar method cannot
 /// be called — and must stay in lockstep with it. The
-/// `vet_single_is_bit_identical_to_scalar_steps` test (and the sim
+/// `vet_sequences_is_bit_identical_to_scalar_steps` test (and the sim
 /// crate's golden fingerprints) enforce the equivalence.
 fn vet_column<'e, E: Embedding>(
     bank: &mut DetectorBank,
@@ -425,60 +425,34 @@ fn vet_column<'e, E: Embedding>(
     bank.coast_all(&scratch.coast);
 }
 
-/// Vet one event per node in a single batched sweep (the Vivaldi tick
-/// shape: every participating node tests exactly one peer sample — or
-/// coasts — per tick).
+/// Vet a per-node *sequence* of events in batched column sweeps: each
+/// node tests its peers in order (a Vivaldi tick is the length-1 case,
+/// an NPS layer round one event per reference point). Column `k`
+/// processes event `k` of every node that has one, so a node's events
+/// run in sequence while the sweep across nodes stays flat.
 ///
 /// On the exact tier this is **bit-for-bit** the same as calling
-/// [`SecureNode::step`] / [`SecureNode::step_missing`] on each node in
-/// order: the bank runs the identical per-slot f64 recursions (with the
-/// `Q⁻¹(α/2)` factor cached — a pure function, so the product is
-/// unchanged) and scatters the state back before returning. The `bank`
-/// is caller-owned so its allocations and quantile memo persist across
-/// ticks; it is cleared and refilled here.
+/// [`SecureNode::step`] / [`SecureNode::step_missing`] on each node's
+/// events in order: the bank runs the identical per-slot f64 recursions
+/// (with the `Q⁻¹(α/2)` factor cached — a pure function, so the product
+/// is unchanged) and scatters the state back before returning. The
+/// `bank` is caller-owned so its allocations and quantile memo persist
+/// across calls; it is cleared and refilled here.
 ///
-/// Returns one entry per node: `Some(step)` for a `Sample` event,
-/// `None` for `Missing` (which, as in the scalar path, produces no
-/// step outcome).
-pub fn vet_single<E: Embedding>(
+/// `sink(i, k, step)` receives the outcome of node `i`'s event `k` for
+/// every `Sample` event (a `Missing` event, as in the scalar path,
+/// produces no step), in column order: each node's outcomes arrive in
+/// event order. Results go to the caller's own buffers, so the sweep
+/// allocates nothing per node.
+///
+/// # Panics
+/// Panics if `events` does not hold exactly one sequence per node.
+pub fn vet_sequences<E: Embedding, S: AsRef<[VetEvent]>>(
     bank: &mut DetectorBank,
     nodes: &mut [&mut SecureNode<E>],
-    events: &[VetEvent],
-) -> Vec<Option<SecureStep>> {
-    assert_eq!(
-        nodes.len(),
-        events.len(),
-        "one event per node: {} nodes vs {} events",
-        nodes.len(),
-        events.len()
-    );
-    bank.clear();
-    for node in nodes.iter() {
-        bank.push(&node.detector);
-    }
-    let mut out = vec![None; nodes.len()];
-    let mut scratch = ColumnScratch::default();
-    vet_column(bank, nodes, |i| Some(&events[i]), &mut scratch, |i, step| {
-        out[i] = Some(step);
-    });
-    for (i, node) in nodes.iter_mut().enumerate() {
-        bank.store(i, &mut node.detector);
-    }
-    out
-}
-
-/// Vet a per-node *sequence* of events in batched column sweeps (the
-/// NPS round shape: each node tests its reference points in order).
-/// Column `k` processes event `k` of every node that has one, so a
-/// node's events run in sequence — bit-for-bit the scalar order — while
-/// the sweep across nodes stays flat.
-///
-/// Returns, per node, one entry per event (`None` for `Missing`).
-pub fn vet_sequences<E: Embedding>(
-    bank: &mut DetectorBank,
-    nodes: &mut [&mut SecureNode<E>],
-    events: &[Vec<VetEvent>],
-) -> Vec<Vec<Option<SecureStep>>> {
+    events: &[S],
+    mut sink: impl FnMut(usize, usize, SecureStep),
+) {
     assert_eq!(
         nodes.len(),
         events.len(),
@@ -490,20 +464,24 @@ pub fn vet_sequences<E: Embedding>(
     for node in nodes.iter() {
         bank.push(&node.detector);
     }
-    let mut out: Vec<Vec<Option<SecureStep>>> =
-        events.iter().map(|seq| vec![None; seq.len()]).collect();
-    let columns = events.iter().map(Vec::len).max().unwrap_or(0);
+    let columns = events
+        .iter()
+        .map(|seq| seq.as_ref().len())
+        .max()
+        .unwrap_or(0);
     let mut scratch = ColumnScratch::default();
-    #[allow(clippy::needless_range_loop)] // k cursors jagged per-node sequences, not one slice
     for k in 0..columns {
-        vet_column(bank, nodes, |i| events[i].get(k), &mut scratch, |i, step| {
-            out[i][k] = Some(step);
-        });
+        vet_column(
+            bank,
+            nodes,
+            |i| events[i].as_ref().get(k),
+            &mut scratch,
+            |i, step| sink(i, k, step),
+        );
     }
     for (i, node) in nodes.iter_mut().enumerate() {
         bank.store(i, &mut node.detector);
     }
-    out
 }
 
 #[cfg(test)]
@@ -787,116 +765,111 @@ mod tests {
         assert!(rate > 0.9, "acceptance rate {rate}");
     }
 
-    /// One mixed event per node per tick: the batched sweep must leave
-    /// every node — detector state, counters, applied steps, round
-    /// bookkeeping — exactly where the scalar calls leave it, and
-    /// return the same step outcomes.
-    #[test]
-    fn vet_single_is_bit_identical_to_scalar_steps() {
-        let n = 6;
-        let mut scalar: Vec<SecureNode<StubEmbedding>> =
-            (0..n).map(|i| secure(0.01 + 0.15 * i as f64)).collect();
-        let mut batched = scalar.clone();
-        let mut bank = DetectorBank::with_tier(false);
-        for tick in 0..30 {
-            let events: Vec<VetEvent> = (0..n)
-                .map(|i| match (tick + i) % 7 {
-                    0 => VetEvent::Missing,
-                    // A blatant lie from a never-seen peer (reject even
-                    // with the reprieve check engaged).
-                    1 => VetEvent::Sample(sample_with_error(100 + tick, 50.0)),
-                    // A moderate deviation from a fresh peer (reprieve
-                    // candidate on confident nodes).
-                    2 => VetEvent::Sample(sample_with_error(200 + tick, 0.6)),
-                    _ => VetEvent::Sample(sample_with_error(i, 0.1)),
-                })
-                .collect();
-            let scalar_steps: Vec<Option<SecureStep>> = scalar
-                .iter_mut()
-                .zip(&events)
-                .map(|(node, event)| match event {
-                    VetEvent::Sample(s) => Some(node.step(s)),
-                    VetEvent::Missing => {
-                        node.step_missing();
-                        None
-                    }
-                })
-                .collect();
-            let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
-            let batched_steps = vet_single(&mut bank, &mut refs, &events);
-            assert_eq!(scalar_steps, batched_steps, "tick {tick}");
-        }
-        for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
-            assert_eq!(s.detector(), b.detector(), "node {i} detector state");
-            assert_eq!(s.counts(), b.counts(), "node {i} counters");
-            assert_eq!(s.inner().applied, b.inner().applied, "node {i} applied");
-            assert_eq!(s.end_round(), b.end_round(), "node {i} round action");
-        }
+    /// Run `vet_sequences`, collecting its outcomes per node and event.
+    fn vet_collect(
+        bank: &mut DetectorBank,
+        nodes: &mut [&mut SecureNode<StubEmbedding>],
+        events: &[Vec<VetEvent>],
+    ) -> Vec<Vec<Option<SecureStep>>> {
+        let mut out: Vec<Vec<Option<SecureStep>>> =
+            events.iter().map(|seq| vec![None; seq.len()]).collect();
+        vet_sequences(bank, nodes, events, |i, k, step| out[i][k] = Some(step));
+        out
     }
 
-    /// The NPS shape: per-node event sequences of different lengths,
-    /// vetted column-by-column — same bit-identity requirement.
+    /// Per-node event sequences — of different lengths (the NPS round
+    /// shape) and of length 1 (the Vivaldi tick shape) — vetted
+    /// column-by-column: the batched sweep must leave every node —
+    /// detector state, counters, applied steps, round bookkeeping —
+    /// exactly where the scalar calls leave it, and return the same
+    /// step outcomes.
     #[test]
     fn vet_sequences_is_bit_identical_to_scalar_steps() {
-        let n = 5;
-        let mut scalar: Vec<SecureNode<StubEmbedding>> =
-            (0..n).map(|i| secure(0.02 + 0.2 * i as f64)).collect();
-        let mut batched = scalar.clone();
-        let mut bank = DetectorBank::with_tier(false);
-        for round in 0..12 {
-            let events: Vec<Vec<VetEvent>> = (0..n)
-                .map(|i| {
-                    (0..(i % 3) + 2)
-                        .map(|k| match (round + i + k) % 5 {
-                            0 => VetEvent::Missing,
-                            1 => VetEvent::Sample(sample_with_error(300 + round * 8 + k, 50.0)),
-                            _ => VetEvent::Sample(sample_with_error(k, 0.12)),
-                        })
-                        .collect()
+        let jagged = |round: usize, i: usize| -> Vec<VetEvent> {
+            (0..(i % 3) + 2)
+                .map(|k| match (round + i + k) % 5 {
+                    0 => VetEvent::Missing,
+                    1 => VetEvent::Sample(sample_with_error(300 + round * 8 + k, 50.0)),
+                    _ => VetEvent::Sample(sample_with_error(k, 0.12)),
                 })
-                .collect();
-            let scalar_steps: Vec<Vec<Option<SecureStep>>> = scalar
-                .iter_mut()
-                .zip(&events)
-                .map(|(node, seq)| {
-                    seq.iter()
-                        .map(|event| match event {
-                            VetEvent::Sample(s) => Some(node.step(s)),
-                            VetEvent::Missing => {
-                                node.step_missing();
-                                None
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
-            let batched_steps = vet_sequences(&mut bank, &mut refs, &events);
-            assert_eq!(scalar_steps, batched_steps, "round {round}");
-            for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
-                assert_eq!(s.end_round(), b.end_round(), "round {round} node {i}");
+                .collect()
+        };
+        let single = |tick: usize, i: usize| -> Vec<VetEvent> {
+            vec![match (tick + i) % 7 {
+                0 => VetEvent::Missing,
+                // A blatant lie from a never-seen peer (reject even with
+                // the reprieve check engaged).
+                1 => VetEvent::Sample(sample_with_error(100 + tick, 50.0)),
+                // A moderate deviation from a fresh peer (reprieve
+                // candidate on confident nodes).
+                2 => VetEvent::Sample(sample_with_error(200 + tick, 0.6)),
+                _ => VetEvent::Sample(sample_with_error(i, 0.1)),
+            }]
+        };
+        // (nodes, rounds, first local error, local error step, events)
+        type Shape<'a> = (
+            usize,
+            usize,
+            f64,
+            f64,
+            &'a dyn Fn(usize, usize) -> Vec<VetEvent>,
+        );
+        let shapes: [Shape; 2] = [(5, 12, 0.02, 0.2, &jagged), (6, 30, 0.01, 0.15, &single)];
+        for (n, rounds, first, step, shape) in shapes {
+            let mut scalar: Vec<SecureNode<StubEmbedding>> =
+                (0..n).map(|i| secure(first + step * i as f64)).collect();
+            let mut batched = scalar.clone();
+            let mut bank = DetectorBank::with_tier(false);
+            for round in 0..rounds {
+                let events: Vec<Vec<VetEvent>> = (0..n).map(|i| shape(round, i)).collect();
+                let scalar_steps: Vec<Vec<Option<SecureStep>>> = scalar
+                    .iter_mut()
+                    .zip(&events)
+                    .map(|(node, seq)| {
+                        seq.iter()
+                            .map(|event| match event {
+                                VetEvent::Sample(s) => Some(node.step(s)),
+                                VetEvent::Missing => {
+                                    node.step_missing();
+                                    None
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut refs: Vec<&mut SecureNode<StubEmbedding>> = batched.iter_mut().collect();
+                let batched_steps = vet_collect(&mut bank, &mut refs, &events);
+                assert_eq!(scalar_steps, batched_steps, "n {n} round {round}");
+                for (i, (s, b)) in scalar.iter_mut().zip(batched.iter_mut()).enumerate() {
+                    assert_eq!(s.end_round(), b.end_round(), "n {n} round {round} node {i}");
+                }
             }
-        }
-        for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
-            assert_eq!(s.detector(), b.detector(), "node {i} detector state");
-            assert_eq!(s.counts(), b.counts(), "node {i} counters");
+            for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
+                assert_eq!(s.detector(), b.detector(), "n {n} node {i} detector state");
+                assert_eq!(s.counts(), b.counts(), "n {n} node {i} counters");
+                assert_eq!(
+                    s.inner().applied,
+                    b.inner().applied,
+                    "n {n} node {i} applied"
+                );
+            }
         }
     }
 
     #[test]
-    fn vet_single_handles_empty_node_sets() {
+    fn vet_sequences_handles_empty_node_sets() {
         let mut bank = DetectorBank::with_tier(false);
         let mut refs: Vec<&mut SecureNode<StubEmbedding>> = Vec::new();
-        let out = vet_single(&mut bank, &mut refs, &[]);
+        let out = vet_collect(&mut bank, &mut refs, &[]);
         assert!(out.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "one event per node")]
-    fn vet_single_rejects_misaligned_events() {
+    #[should_panic(expected = "one event sequence per node")]
+    fn vet_sequences_rejects_misaligned_events() {
         let mut node = secure(0.1);
         let mut bank = DetectorBank::with_tier(false);
         let mut refs = vec![&mut node];
-        let _ = vet_single(&mut bank, &mut refs, &[]);
+        let _ = vet_collect(&mut bank, &mut refs, &[]);
     }
 }

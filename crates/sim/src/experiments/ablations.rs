@@ -18,7 +18,7 @@ use super::Scale;
 use crate::scenario::{ScenarioConfig, SurveyorPlacement, TopologyKind};
 use crate::vivaldi_driver::VivaldiSimulation;
 use ices_attack::VivaldiIsolationAttack;
-use ices_core::{calibrate, EmConfig, StateSpaceParams};
+use ices_core::{calibrate, EmConfig, StateSpaceParams, MIN_CALIBRATION_SAMPLES};
 use ices_stats::Confusion;
 use serde::{Deserialize, Serialize};
 
@@ -189,7 +189,7 @@ pub fn ablate_recalibration(scale: &Scale) -> AblationResult {
         sim.run_clean(scale.clean_passes);
         sim.traces()
             .iter()
-            .filter(|t| t.len() >= 10)
+            .filter(|t| t.len() >= MIN_CALIBRATION_SAMPLES)
             .take(8)
             .map(|t| {
                 calibrate(

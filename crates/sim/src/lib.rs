@@ -6,8 +6,9 @@
 //! protocol (`ices-core`), unleashes an adversary (`ices-attack`), and
 //! collects the metrics every table and figure of the paper reports.
 //!
-//! The drivers are deliberately phase-structured, mirroring the paper's
-//! method:
+//! One secured driver ([`driver::SecureDriver`], behind both
+//! [`VivaldiSimulation`] and [`NpsSimulation`]) runs every experiment,
+//! phase-structured to mirror the paper's method:
 //!
 //! 1. **Clean embedding** — the system converges without malicious nodes;
 //!    every node's measured-relative-error trace is recorded.
@@ -27,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod experiments;
 pub mod metrics;
 pub mod nps_driver;

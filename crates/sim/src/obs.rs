@@ -176,13 +176,7 @@ impl SimObs {
         self.registry.inc(id);
     }
 
-    /// A first-time-peer reprieve was granted.
-    #[inline]
-    pub fn reprieve(&mut self) {
-        self.registry.inc(self.ids.reprieves);
-    }
-
-    /// Add `n` reprieves at once (NPS merges per-round vectors).
+    /// Add `n` first-time-peer reprieves.
     #[inline]
     pub fn reprieves(&mut self, n: u64) {
         self.registry.add(self.ids.reprieves, n);
@@ -242,13 +236,7 @@ impl SimObs {
         }
     }
 
-    /// A probe completed and produced a measurement.
-    #[inline]
-    pub fn probe_ok(&mut self) {
-        self.registry.inc(self.ids.probe_ok);
-    }
-
-    /// Add `n` completed probes at once.
+    /// Add `n` probes that completed and produced a measurement.
     #[inline]
     pub fn probes_ok(&mut self, n: u64) {
         self.registry.add(self.ids.probe_ok, n);
@@ -404,7 +392,7 @@ mod tests {
         obs.record_confusion(false, true);
         obs.record_confusion(false, false);
         obs.record_confusion(true, false);
-        obs.reprieve();
+        obs.reprieves(1);
         obs.replacement(3, 7);
         obs.filter_refresh(3);
         obs.lost_probe();
@@ -441,7 +429,7 @@ mod tests {
     fn journal_records_ticks_and_events() {
         let mut obs = SimObs::new();
         obs.enable_journal(Journal::in_memory(), "vivaldi", 10, 42);
-        obs.probe_ok();
+        obs.probes_ok(1);
         obs.probes_ok(2);
         obs.eviction(5);
         obs.tick_boundary(1);

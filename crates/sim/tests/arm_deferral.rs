@@ -4,6 +4,11 @@
 //! whose candidate Surveyors are all down defers arming to the next
 //! tick (counted in `FaultReport::deferred_arms`) and arms late once a
 //! Surveyor returns (`late_arms`).
+//!
+//! The same outage during the clean phase left a Surveyor with an empty
+//! trace, and `calibrate_surveyors` asserted inside EM on it. A
+//! Surveyor with fewer samples than EM needs is now left out of the
+//! registry, so no node adopts a filter it never calibrated.
 
 use ices_core::EmConfig;
 use ices_netsim::{ChurnModel, FaultPlan};
@@ -86,4 +91,37 @@ fn nps_arm_defers_under_outage_and_recovers_when_it_lifts() {
     let faults = sim.report().faults;
     assert!(faults.late_arms > 0, "late arms must be counted: {faults:?}");
     assert!(normals.iter().all(|&n| sim.is_secured(n)));
+}
+
+/// `node` down for the whole run.
+fn down_forever(node: usize) -> FaultPlan {
+    FaultPlan::none().with_node_churn(node, ChurnModel::new(u64::MAX, 0.999_999))
+}
+
+#[test]
+fn vivaldi_surveyor_without_samples_is_left_out_of_the_registry() {
+    let mut sim = VivaldiSimulation::new(scenario(17));
+    let down = *sim.surveyors().iter().next().unwrap();
+    sim.set_fault_plan(down_forever(down));
+    sim.run_clean(4);
+    assert!(sim.traces()[down].is_empty());
+    sim.calibrate_surveyors(&EmConfig::default());
+    assert!(sim.registry().get(down).is_none());
+    assert_eq!(sim.registry().len(), sim.surveyors().len() - 1);
+    sim.arm_detection();
+    assert!(sim.normal_nodes().iter().all(|&n| sim.is_secured(n)));
+}
+
+#[test]
+fn nps_surveyor_without_samples_is_left_out_of_the_registry() {
+    let mut sim = NpsSimulation::new(scenario(19));
+    let down = *sim.surveyors().iter().next().unwrap();
+    sim.set_fault_plan(down_forever(down));
+    sim.run_clean(4);
+    assert!(sim.traces()[down].is_empty());
+    sim.calibrate_surveyors(&EmConfig::default());
+    assert!(sim.registry().get(down).is_none());
+    assert_eq!(sim.registry().len(), sim.surveyors().len() - 1);
+    sim.arm_detection();
+    assert!(sim.normal_nodes().iter().all(|&n| sim.is_secured(n)));
 }

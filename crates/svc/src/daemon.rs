@@ -427,8 +427,10 @@ impl ServiceCore {
             .iter()
             .map(|c| VetEvent::Sample(c.sample.clone()))
             .collect();
-        let steps = vet_sequences(&mut self.bank, &mut [node], &[events]);
-        let steps = steps.into_iter().next().unwrap_or_default();
+        let mut steps: Vec<Option<SecureStep>> = vec![None; events.len()];
+        vet_sequences(&mut self.bank, &mut [node], &[events], |_, k, step| {
+            steps[k] = Some(step);
+        });
         for (claim, step) in claims.into_iter().zip(steps) {
             let (disposition, innovation, threshold) = match &step {
                 Some(SecureStep::Accepted { verdict, .. }) => {
