@@ -33,13 +33,11 @@
 //!   `ices_obs::Clock` trait, and the only sanctioned wall-clock impl
 //!   lives in `crates/bench` (`WallClock`). Inside `crates/obs` this
 //!   rule supersedes DET02 — same triggers, sharper message.
-//! * **FAST01** — reassociation-bearing and tier-dispatch calls
-//!   (`fast_enabled(`, `with_fast(`, `.chunks_exact(`,
-//!   `.chunks_exact_mut(`) are confined to modules named `fast` inside
-//!   determinism-critical crates (`crates/par`, which *defines* the
-//!   tier knob, is exempt): the exact tier's bit-for-bit contract
-//!   survives only if every place that can reorder a float reduction is
-//!   findable by module name.
+//! * **FAST01** — chunked, reassociation-prone calls
+//!   (`.chunks_exact(`, `.chunks_exact_mut(`) in determinism-critical
+//!   crates need a reasoned allow: the bit-for-bit contract survives
+//!   only if every place that could reorder a float reduction is
+//!   findable and justified.
 //! * **ALLOW01** — a malformed `audit:allow` (unknown rule or missing
 //!   reason). Never suppressible: the reason *is* the audit trail.
 //!
@@ -705,11 +703,6 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
     let det03_applies = !matches!(ctx.crate_name.as_str(), "par" | "svc");
     let sockets_apply = ctx.crate_name != "svc";
     let panic01_applies = ctx.kind == FileKind::Lib;
-    // FAST01: `crates/par` owns the tier knob, and modules *named*
-    // `fast` are exactly where reassociated kernels are supposed to
-    // live — the rule polices everywhere else in critical crates.
-    let fast_module = ctx.path.ends_with("/fast.rs") || ctx.path.contains("/fast/");
-    let fast01_applies = critical && ctx.crate_name != "par" && !fast_module;
     // Inside crates/obs the wall-clock rule carries the observability
     // contract's name and message (and supersedes DET02 so one hazard
     // never produces two findings).
@@ -878,8 +871,8 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
                     &mut findings,
                 );
             }
-            "fast_enabled" | "with_fast" | "chunks_exact" | "chunks_exact_mut"
-                if fast01_applies
+            "chunks_exact" | "chunks_exact_mut"
+                if critical
                     && punct_at(tokens, i + 1) == Some('(')
                     && !in_spans(&spans, line) =>
             {
@@ -887,9 +880,9 @@ pub fn audit_source(ctx: &FileContext, src: &str) -> FileReport {
                     "FAST01",
                     line,
                     format!(
-                        "`{word}(` outside a `fast` module; tier dispatch and \
-                         chunked (reassociation-prone) reductions belong in a \
-                         module named `fast` (or justify with \
+                        "`{word}(` in a determinism-critical crate; chunked \
+                         (reassociation-prone) walks must show they keep the \
+                         per-element op order (justify with \
                          `// audit:allow(FAST01): reason`)"
                     ),
                     &mut findings,
@@ -1215,28 +1208,24 @@ mod tests {
     }
 
     #[test]
-    fn fast01_flags_tier_calls_outside_fast_modules() {
-        let src = "pub fn f(v: &[f64]) -> bool {\n    let _ = v.chunks_exact(4);\n    ices_par::fast_enabled()\n}\n";
+    fn fast01_flags_chunked_calls() {
+        let src = "pub fn f(v: &mut [f64]) {\n    let _ = v.chunks_exact(4);\n    let _ = v.chunks_exact_mut(2);\n}\n";
         let r = audit_source(&lib_ctx(), src);
         assert_eq!(rules_of(&r), [("FAST01", 2, false), ("FAST01", 3, false)]);
     }
 
     #[test]
-    fn fast01_exempts_fast_modules_par_and_noncritical_crates() {
+    fn fast01_applies_in_every_critical_module_and_exempts_other_crates() {
         let src =
             "pub fn f(v: &mut [f64]) { for c in v.chunks_exact_mut(4) { c.reverse(); } }\n";
+        // No module name earns an exemption, `fast` included.
         let mut ctx = lib_ctx();
         ctx.path = "crates/nps/src/fast.rs".into();
         ctx.crate_name = "nps".into();
-        assert!(audit_source(&ctx, src).findings.is_empty());
-        ctx.path = "crates/core/src/batch/fast/kernel.rs".into();
-        ctx.crate_name = "core".into();
-        assert!(audit_source(&ctx, src).findings.is_empty());
+        assert_eq!(rules_of(&audit_source(&ctx, src)), [("FAST01", 1, false)]);
         let mut par = lib_ctx();
         par.crate_name = "par".into();
-        assert!(audit_source(&par, "pub fn g() -> bool { fast_enabled() }\n")
-            .findings
-            .is_empty());
+        assert_eq!(rules_of(&audit_source(&par, src)), [("FAST01", 1, false)]);
         let mut stats = lib_ctx();
         stats.crate_name = "stats".into();
         assert!(audit_source(&stats, src).findings.is_empty());
@@ -1244,7 +1233,7 @@ mod tests {
 
     #[test]
     fn fast01_exempts_tests_and_honors_allows() {
-        let test_src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { ices_par::with_fast(true, || {}); }\n}\n";
+        let test_src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = [0.0; 8].chunks_exact(4); }\n}\n";
         assert!(audit_source(&lib_ctx(), test_src).findings.is_empty());
         let allowed = "pub fn f(v: &[f64]) -> f64 {\n    // audit:allow(FAST01): lane-independent sweep, no reduction reordered\n    v.chunks_exact(4).map(|c| c.iter().sum::<f64>()).sum()\n}\n";
         let r = audit_source(&lib_ctx(), allowed);
@@ -1255,7 +1244,7 @@ mod tests {
     #[test]
     fn fast01_requires_a_call_site() {
         // Mentions in docs/strings/idents-without-parens don't fire.
-        let src = "pub fn chunks_exact_reporter() { let fast_enabled = 1; let _ = fast_enabled; }\n";
+        let src = "pub fn chunks_exact_reporter() { let chunks_exact = 1; let _ = chunks_exact; }\n";
         assert!(audit_source(&lib_ctx(), src).findings.is_empty());
     }
 

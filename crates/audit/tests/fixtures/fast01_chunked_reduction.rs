@@ -1,5 +1,5 @@
-//! Bad fixture: a chunked (reassociation-prone) reduction outside a
-//! `fast` module (FAST01). The plain iterator sum below must stay
+//! Bad fixture: a chunked (reassociation-prone) reduction with no
+//! reasoned allow (FAST01). The plain iterator sum below must stay
 //! invisible — only the `chunks_exact` call site fires.
 
 pub fn lane_sum(v: &[f64]) -> f64 {

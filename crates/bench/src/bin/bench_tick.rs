@@ -18,13 +18,10 @@
 //! path cost, so the pool's whole reason to exist is a number in the
 //! perf trajectory.
 //!
-//! Two newer entries ride the same report: a **detector-bank**
-//! microbenchmark timing the scalar per-peer vetting loop against the
-//! SoA `DetectorBank` sweep at paper scale (1,740 peers), asserting
-//! bit-identical suspicious counts while it times; and per-driver
-//! **fast-tier rows** (`ICES_FAST` reassociated kernels, enabled via
-//! an in-process override so one run records both tiers) — every row
-//! carries a `tier` tag so `bench_check` never compares across tiers.
+//! A **detector-bank** microbenchmark rides the same report, timing
+//! the scalar per-peer vetting loop against the SoA `DetectorBank`
+//! sweep at paper scale (1,740 peers) and asserting bit-identical
+//! suspicious counts while it times.
 //!
 //! ```text
 //! bench_tick [--scale test|harness|paper] [--seed N] [--no-json]
@@ -50,15 +47,6 @@ fn faulty_plan() -> FaultPlan {
     FaultPlan::lossy(0.10, 0.025).with_churn(ChurnModel::new(16, 0.05))
 }
 
-/// The numeric tier in effect, as recorded in benchmark rows.
-fn ambient_tier() -> &'static str {
-    if ices_par::fast_enabled() {
-        "fast"
-    } else {
-        "exact"
-    }
-}
-
 /// One timed configuration of one driver.
 #[derive(Debug, Serialize)]
 struct TickBench {
@@ -76,9 +64,6 @@ struct TickBench {
     /// the honest-world run through the *same* attack-phase code path —
     /// the sybil/honest_twin delta is the intercept path's cost.
     adversary: &'static str,
-    /// Numeric tier the row ran on: `"exact"` (bit-for-bit, the
-    /// default) or `"fast"` (`ICES_FAST=1` reassociated kernels).
-    tier: &'static str,
     secs: f64,
     steps_per_sec: f64,
 }
@@ -86,8 +71,8 @@ struct TickBench {
 /// Batched detection microbenchmark: one snapshot-wide classification
 /// sweep (predict → evaluate → accept/coast) over a paper-scale peer
 /// population, timed as a scalar `Detector` loop and as the
-/// `DetectorBank` SoA kernels. Both paths run the exact tier — the same
-/// FP ops in the same order — so the ratio is pure execution-shape:
+/// `DetectorBank` SoA kernels. Both paths run the same
+/// FP ops in the same order, so the ratio is pure execution-shape:
 /// columnized state, no per-call dispatch, `Q⁻¹(α/2)` cached per slot.
 #[derive(Debug, Serialize)]
 struct DetectorBankBench {
@@ -251,7 +236,6 @@ fn time_vivaldi(scale: &Scale, threads: usize, faults: bool, journal: bool) -> T
         faults,
         journal,
         adversary: "none",
-        tier: ambient_tier(),
         secs,
         steps_per_sec: steps as f64 / secs,
     }
@@ -284,7 +268,6 @@ fn time_nps(scale: &Scale, threads: usize, faults: bool, journal: bool) -> TickB
         faults,
         journal,
         adversary: "none",
-        tier: ambient_tier(),
         secs,
         steps_per_sec: steps as f64 / secs,
     }
@@ -350,8 +333,7 @@ fn time_adversarial(scale: &Scale, driver: &'static str, sybil: bool) -> TickBen
             faults: false,
             journal: false,
             adversary: if sybil { "sybil" } else { "honest_twin" },
-            tier: ambient_tier(),
-            secs,
+                secs,
             steps_per_sec: steps as f64 / secs,
         }
     } else {
@@ -383,8 +365,7 @@ fn time_adversarial(scale: &Scale, driver: &'static str, sybil: bool) -> TickBen
             faults: false,
             journal: false,
             adversary: if sybil { "sybil" } else { "honest_twin" },
-            tier: ambient_tier(),
-            secs,
+                secs,
             steps_per_sec: steps as f64 / secs,
         }
     }
@@ -576,7 +557,7 @@ fn time_detector_bank() -> DetectorBankBench {
     // Batched path: the same schedule through the bank's flat sweeps.
     let time_batched = || -> (f64, u64) {
         let proto = Detector::new(params, alpha);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         for _ in 0..PEERS {
             bank.push(&proto);
         }
@@ -767,28 +748,6 @@ fn main() {
         );
         runs.push(twin);
         runs.push(sybil);
-        // Fast-tier twin of the clean sequential row (`ICES_FAST=1`
-        // reassociated kernels). bench_check compares fast rows only
-        // against fast baselines — the tiers are different numerics, so
-        // cross-tier ratios are a tier property, not a regression.
-        let bench = ices_par::with_fast(true, || {
-            best_of(timer, &options.scale, 1, false, false)
-        });
-        let exact = runs
-            .iter()
-            .find(|r| {
-                r.driver == name && r.threads == 1 && !r.faults && !r.journal
-                    && r.adversary == "none" && r.tier == "exact"
-            })
-            .map(|r| r.steps_per_sec);
-        let gain = exact
-            .map(|e| (bench.steps_per_sec / e - 1.0) * 100.0)
-            .unwrap_or(f64::NAN);
-        println!(
-            "{name:>8}  threads={:<2}  {:>8.2}s  {:>12.0} steps/s  (fast tier: {gain:+.1}% vs exact)",
-            bench.threads, bench.secs, bench.steps_per_sec
-        );
-        runs.push(bench);
     }
 
     // Streamed-topology scale sweep: the paper's sizes plus 50k, all on
@@ -859,7 +818,7 @@ fn main() {
             runs.iter()
                 .find(|r| {
                     r.driver == driver && r.threads == t && !r.faults && !r.journal
-                        && r.adversary == "none" && r.tier == "exact"
+                        && r.adversary == "none"
                 })
                 .map(|r| r.steps_per_sec)
         };

@@ -11,7 +11,7 @@
 //!
 //! Schema evolution policy: a baseline recorded before a field existed
 //! is compared under that field's default (`journal=false`,
-//! `adversary="none"`, `tier="exact"` — which is what those rows were),
+//! `adversary="none"` — which is what those rows were),
 //! and the report carries one note per defaulted field naming how many
 //! rows it touched. Old baselines never error, and the defaulting is
 //! never silent.
@@ -69,7 +69,6 @@ struct Row {
     faults: bool,
     journal: bool,
     adversary: String,
-    tier: String,
     sps: f64,
 }
 
@@ -79,7 +78,6 @@ struct Row {
 struct SchemaGaps {
     journal: usize,
     adversary: usize,
-    tier: usize,
 }
 
 impl SchemaGaps {
@@ -89,7 +87,6 @@ impl SchemaGaps {
         for (missing, name, default) in [
             (self.journal, "journal", "false"),
             (self.adversary, "adversary", "\"none\""),
-            (self.tier, "tier", "\"exact\""),
         ] {
             if missing > 0 {
                 out.push(format!(
@@ -131,13 +128,6 @@ fn runs(report: &Value) -> (Vec<Row>, SchemaGaps) {
                     "none".to_string()
                 }
             };
-            let tier = match field(run, "tier") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => {
-                    gaps.tier += 1;
-                    "exact".to_string()
-                }
-            };
             let sps = match field(run, "steps_per_sec").and_then(number) {
                 Some(s) => s,
                 None => continue,
@@ -148,7 +138,6 @@ fn runs(report: &Value) -> (Vec<Row>, SchemaGaps) {
                 faults,
                 journal,
                 adversary,
-                tier,
                 sps,
             });
         }
@@ -226,29 +215,25 @@ pub fn compare(baseline: &Value, current: &Value) -> CheckReport {
         if !same_host && row.threads != 1 {
             continue;
         }
-        // Tier is part of the row's identity: a fast row never compares
-        // against an exact baseline (or vice versa).
         let Some(old) = old_runs.iter().find(|o| {
             o.driver == row.driver
                 && o.threads == row.threads
                 && o.faults == row.faults
                 && o.journal == row.journal
                 && o.adversary == row.adversary
-                && o.tier == row.tier
         }) else {
             continue;
         };
         report.compared += 1;
         if row.sps < old.sps * (1.0 - TOLERANCE) {
             report.warnings.push(format!(
-                "{} (threads={}, faults={}, journal={}, adversary={}, tier={}) \
+                "{} (threads={}, faults={}, journal={}, adversary={}) \
                  regressed {:.0}% — {:.0} → {:.0} steps/sec",
                 row.driver,
                 row.threads,
                 row.faults,
                 row.journal,
                 row.adversary,
-                row.tier,
                 100.0 * (1.0 - row.sps / old.sps),
                 old.sps,
                 row.sps
@@ -269,7 +254,6 @@ pub fn compare(baseline: &Value, current: &Value) -> CheckReport {
                 && o.faults == row.faults
                 && !o.journal
                 && o.adversary == row.adversary
-                && o.tier == row.tier
         }) else {
             continue;
         };
@@ -300,7 +284,6 @@ pub fn compare(baseline: &Value, current: &Value) -> CheckReport {
                 && o.faults == row.faults
                 && o.journal == row.journal
                 && o.adversary == "honest_twin"
-                && o.tier == row.tier
         }) else {
             continue;
         };
@@ -433,13 +416,13 @@ mod tests {
     fn modern_run(sps: f64) -> String {
         format!(
             r#"{{"driver":"vivaldi","threads":1,"faults":false,"journal":false,
-                "adversary":"none","tier":"exact","steps_per_sec":{sps}}}"#
+                "adversary":"none","steps_per_sec":{sps}}}"#
         )
     }
 
     #[test]
     fn old_schema_rows_default_with_a_note_and_still_compare() {
-        // A baseline from before journal/adversary/tier existed.
+        // A baseline from before journal/adversary existed.
         let baseline = parse(
             r#"{"runs":[{"driver":"vivaldi","threads":1,"faults":false,
                 "steps_per_sec":1000}]}"#,
@@ -448,7 +431,7 @@ mod tests {
         let report = compare(&baseline, &current);
         assert_eq!(report.compared, 1, "defaults must keep rows comparable");
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-        for name in ["journal", "adversary", "tier"] {
+        for name in ["journal", "adversary"] {
             assert!(
                 report.notes.iter().any(|n| n.contains(&format!("`{name}`"))),
                 "missing migration note for {name}: {:?}",
@@ -495,18 +478,5 @@ mod tests {
         let regressed = compare(&with, &slow);
         assert_eq!(regressed.warnings.len(), 1);
         assert!(regressed.warnings[0].contains("probes/sec"));
-    }
-
-    #[test]
-    fn cross_tier_rows_never_compare() {
-        let baseline = parse(
-            r#"{"runs":[{"driver":"vivaldi","threads":1,"faults":false,
-                "journal":false,"adversary":"none","tier":"fast",
-                "steps_per_sec":9000}]}"#,
-        );
-        let current = parse(&format!(r#"{{"runs":[{}]}}"#, modern_run(100.0)));
-        let report = compare(&baseline, &current);
-        assert_eq!(report.compared, 0, "exact row must not match fast baseline");
-        assert!(report.warnings.is_empty());
     }
 }

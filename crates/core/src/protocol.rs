@@ -431,7 +431,7 @@ fn vet_column<'e, E: Embedding>(
 /// processes event `k` of every node that has one, so a node's events
 /// run in sequence while the sweep across nodes stays flat.
 ///
-/// On the exact tier this is **bit-for-bit** the same as calling
+/// This is **bit-for-bit** the same as calling
 /// [`SecureNode::step`] / [`SecureNode::step_missing`] on each node's
 /// events in order: the bank runs the identical per-slot f64 recursions
 /// (with the `Q⁻¹(α/2)` factor cached — a pure function, so the product
@@ -819,7 +819,7 @@ mod tests {
             let mut scalar: Vec<SecureNode<StubEmbedding>> =
                 (0..n).map(|i| secure(first + step * i as f64)).collect();
             let mut batched = scalar.clone();
-            let mut bank = DetectorBank::with_tier(false);
+            let mut bank = DetectorBank::new();
             for round in 0..rounds {
                 let events: Vec<Vec<VetEvent>> = (0..n).map(|i| shape(round, i)).collect();
                 let scalar_steps: Vec<Vec<Option<SecureStep>>> = scalar
@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn vet_sequences_handles_empty_node_sets() {
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         let mut refs: Vec<&mut SecureNode<StubEmbedding>> = Vec::new();
         let out = vet_collect(&mut bank, &mut refs, &[]);
         assert!(out.is_empty());
@@ -868,7 +868,7 @@ mod tests {
     #[should_panic(expected = "one event sequence per node")]
     fn vet_sequences_rejects_misaligned_events() {
         let mut node = secure(0.1);
-        let mut bank = DetectorBank::with_tier(false);
+        let mut bank = DetectorBank::new();
         let mut refs = vec![&mut node];
         let _ = vet_collect(&mut bank, &mut refs, &[]);
     }

@@ -60,9 +60,6 @@ struct SolveScratch {
     rp_heights: Vec<f64>,
     /// Measured RTTs, one per sample.
     rtts: Vec<f64>,
-    /// Reciprocal RTTs for the fast tier's fused normalize (filled only
-    /// when `ICES_FAST=1`; empty on the exact tier).
-    inv_rtts: Vec<f64>,
     /// RTTs again, sorted for the median.
     sorted_rtts: Vec<f64>,
     /// Per-sample squared-distance accumulators (kernel buffer).
@@ -205,12 +202,6 @@ impl NpsNode {
     fn solve(&mut self, samples: &[PeerSample]) -> Coordinate {
         debug_assert!(!samples.is_empty());
         let dims = self.config.space.dims();
-        // Numeric tier, resolved once per solve. On the exact tier every
-        // objective evaluation is bit-for-bit the per-sample scalar op
-        // order; `ICES_FAST=1` swaps in the reassociated kernel from
-        // `crate::fast`.
-        // audit:allow(FAST01): the one sanctioned dispatch point into the fast objective; the kernel itself lives in the fast module
-        let fast = ices_par::fast_enabled();
         let scratch = &mut self.scratch;
 
         // Flatten the reference set once per solve (transposed to
@@ -239,18 +230,12 @@ impl NpsNode {
         scratch.sorted_rtts.sort_by(f64::total_cmp);
         let median_rtt = scratch.sorted_rtts[scratch.sorted_rtts.len() / 2];
         let step = (median_rtt / 4.0).max(1.0);
-        if fast {
-            crate::fast::fill_inv_rtts(&scratch.rtts, &mut scratch.inv_rtts);
-        } else {
-            scratch.inv_rtts.clear();
-        }
 
         let SolveScratch {
             nm,
             rp_soa,
             rp_heights,
             rtts,
-            inv_rtts,
             sq,
             terms,
             start,
@@ -262,7 +247,6 @@ impl NpsNode {
         let rp_soa = &rp_soa[..];
         let rp_heights = &rp_heights[..];
         let rtts = &rtts[..];
-        let inv_rtts = &inv_rtts[..];
         let sq = &mut sq[..];
         let terms = &mut terms[..];
         let mut best: Option<f64> = None;
@@ -277,15 +261,7 @@ impl NpsNode {
                 }
             }
             let stats = nm.minimize(
-                |x| {
-                    if fast {
-                        crate::fast::flat_objective_fast(
-                            x, rp_soa, stride, inv_rtts, rp_heights, rtts, sq, terms,
-                        )
-                    } else {
-                        flat_objective(x, rp_soa, stride, rp_heights, rtts, sq, terms)
-                    }
-                },
+                |x| flat_objective(x, rp_soa, stride, rp_heights, rtts, sq, terms),
                 start,
                 step,
                 self.config.solver_max_iter,
@@ -320,7 +296,7 @@ impl NpsNode {
 /// non-negative `d` a square root returns); and the final sum adds the
 /// per-sample terms in sample order from 0.0.
 #[inline(always)]
-pub(crate) fn flat_objective(
+fn flat_objective(
     x: &[f64],
     rp_soa: &[f64],
     stride: usize,
@@ -507,29 +483,6 @@ mod tests {
         );
         assert_eq!(n.rounds(), 1);
         assert_eq!(n.pending_samples(), 0);
-    }
-
-    #[test]
-    fn fast_tier_solve_recovers_position_too() {
-        // The reassociated kernel must still position correctly — and
-        // deterministically — under ICES_FAST=1.
-        let run = || {
-            ices_par::with_fast(true, || {
-                let mut n = NpsNode::new(0, small_config(), 2);
-                for s in anchors_and_samples(&[30.0, 40.0]) {
-                    n.apply_step(&s);
-                }
-                let summary = n.finish_round().expect("round should complete");
-                assert!(summary.fit_error < 1e-4, "fit = {}", summary.fit_error);
-                n.coordinate().clone()
-            })
-        };
-        let pos = run();
-        assert!(
-            (pos.position()[0] - 30.0).abs() < 1.0 && (pos.position()[1] - 40.0).abs() < 1.0,
-            "recovered {pos:?}"
-        );
-        assert_eq!(pos, run(), "fast tier must be deterministic");
     }
 
     #[test]

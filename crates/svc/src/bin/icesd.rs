@@ -5,8 +5,11 @@
 //! a valid `Shutdown` datagram arrives.
 //!
 //! ```text
-//! icesd [--addr HOST:PORT] [--dims N] [--token T] [--journal PATH]
+//! icesd --token T [--addr HOST:PORT] [--dims N] [--journal PATH]
 //! ```
+//!
+//! `--token` is the nonzero shared secret a `Shutdown` datagram must
+//! carry; without it the daemon refuses to start (exit 2).
 
 use ices_obs::Journal;
 use ices_svc::{Daemon, ServiceConfig};
@@ -50,6 +53,9 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.dims == 0 || args.dims > 16 {
         return Err(format!("--dims must be 1..=16, got {}", args.dims));
+    }
+    if args.token == 0 {
+        return Err("--token must be a nonzero shutdown secret".to_string());
     }
     Ok(args)
 }

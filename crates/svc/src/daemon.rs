@@ -45,7 +45,8 @@ pub struct ServiceConfig {
     pub cert_tolerance: f64,
     /// Detection-protocol knobs for the secured-update intake.
     pub security: SecurityConfig,
-    /// Shared secret required by [`Message::Shutdown`].
+    /// Shared secret required by [`Message::Shutdown`]. A token of 0
+    /// never matches, so the default config cannot be stopped remotely.
     pub shutdown_token: u64,
 }
 
@@ -177,7 +178,7 @@ impl ServiceCore {
             surveyors: SurveyorRegistry::new(),
             certifier: None,
             node: None,
-            bank: DetectorBank::with_tier(false),
+            bank: DetectorBank::new(),
             journaled: registry.snapshot(),
             registry,
             counters,
@@ -187,9 +188,10 @@ impl ServiceCore {
         }
     }
 
-    /// Attach a journal; `now` stamps the opening `meta` line.
+    /// Attach a journal; `now` stamps the opening `meta` line. The
+    /// daemon has no seed, so the line's `seed` is 0.
     pub fn with_journal(mut self, mut journal: Journal, now: u64) -> Self {
-        journal.meta(now, "svc", 1, self.config.auth_key);
+        journal.meta(now, "svc", 1, 0);
         journal.flush();
         self.journaled = self.registry.snapshot();
         self.journal = Some(journal);
@@ -388,7 +390,7 @@ impl ServiceCore {
                 counters: self.counters(),
             }),
             Message::Shutdown { token } => {
-                if token == self.config.shutdown_token {
+                if token != 0 && token == self.config.shutdown_token {
                     self.shutdown = true;
                     self.journal_summary(now);
                     Some(Message::StatsReply {
@@ -908,6 +910,37 @@ mod tests {
         let reply = one(&mut core, &Message::Shutdown { token: 0xFEED }, 1);
         assert!(matches!(reply, Message::StatsReply { .. }));
         assert!(core.shutdown_requested());
+    }
+
+    #[test]
+    fn zero_shutdown_token_is_never_honoured() {
+        let mut core = ServiceCore::new(ServiceConfig::default());
+        assert_eq!(core.config.shutdown_token, 0);
+        let reply = one(&mut core, &Message::Shutdown { token: 0 }, 0);
+        assert_eq!(
+            reply,
+            Message::Error {
+                code: wire::service_code::BAD_TOKEN
+            }
+        );
+        assert!(!core.shutdown_requested());
+    }
+
+    #[test]
+    fn journal_does_not_record_the_auth_key() {
+        let config = ServiceConfig::default();
+        let key = config.auth_key.to_string();
+        let mut core = ServiceCore::new(config).with_journal(Journal::in_memory(), 0);
+        register_surveyor(&mut core);
+        core.journal_summary(1);
+        let bytes = core
+            .journal
+            .take()
+            .and_then(Journal::finish)
+            .unwrap_or_else(|| panic!("in-memory journal yields bytes"));
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(text.contains("\"ev\":\"meta\""), "{text}");
+        assert!(!text.contains(&key), "auth key {key} leaked into the journal: {text}");
     }
 
     #[test]

@@ -52,14 +52,6 @@ cargo run -q --release -p ices-bench --bin obs_report -- --check target/obs_smok
 # negative result).
 cargo run -q --release -p ices-bench --bin adversary_sweep -- --smoke
 
-# Fast-tier equivalence: the ICES_FAST reassociated tier must stay
-# statistically indistinguishable from the exact tier (TPR/FPR deltas
-# and the chaos-cell median-error band — see crates/bench/src/bin/
-# fast_equiv.rs). Exits nonzero on any breach. Harness scale so the
-# reassociated reductions actually engage (test-scale arrays fall
-# through to the scalar tail and compare bit-identical).
-cargo run -q --release -p ices-bench --bin fast_equiv -- --scale harness --no-json
-
 # Service loopback smoke: an in-process coordinate daemon plus 10k
 # simulated clients driven by loadgen over 127.0.0.1 (two UDP
 # round-trips each: certified probe + detector-vetted claim; ~10%
